@@ -135,6 +135,7 @@ func main() {
 		buf, err := sys.CaptureTrace(task, !*dataToo)
 		check(err)
 		check(sys.Run(0))
+		sys.Kernel().ReleaseBuffers()
 		f, err := os.Create(*capture)
 		check(err)
 		check(buf.Write(f))
@@ -150,6 +151,7 @@ func main() {
 		if err != nil {
 			return traceResult{}, err
 		}
+		defer sys.Kernel().ReleaseBuffers()
 		task, err := sys.LoadWorkload(*wl, *scale, *seed, false)
 		if err != nil {
 			return traceResult{}, err

@@ -35,7 +35,9 @@ import (
 // Version 6 adds the interval_sampling section: the same multi-trial
 // gang sweep run exhaustively and through representative-interval
 // replay, with the worst extrapolation error alongside the speedup.
-const benchVersion = 6
+// Version 7 drops the boot_amortization section along with boot
+// checkpointing itself.
+const benchVersion = 7
 
 // benchReport is the machine-readable perf trajectory emitted by
 // -bench-json: wall-clock per experiment with the fast path on and off,
@@ -54,7 +56,6 @@ type benchReport struct {
 	GangScaling benchGangScaling  `json:"gang_scaling"`
 	HotLoop     []benchHotLoop    `json:"hot_loop"`
 
-	BootAmortization benchBootAmortization       `json:"boot_amortization"`
 	ResultCache      benchResultCache            `json:"result_cache"`
 	IntervalSampling experiment.IntervalSampling `json:"interval_sampling"`
 }
@@ -63,8 +64,7 @@ type benchReport struct {
 // a repeated sweep: the same design-space grid runs cold (every point
 // simulated, results completed into the cache) and then warm (every
 // point served from the cache). Outputs are byte-identical either way
-// (the `make verify-resultcache` gate), so the warm speedup is pure
-// avoided re-simulation.
+// (TestModeLattice), so the warm speedup is pure avoided re-simulation.
 type benchResultCache struct {
 	Workload    string  `json:"workload"`
 	Configs     int     `json:"configs"`
@@ -74,28 +74,6 @@ type benchResultCache struct {
 	Hits        uint64  `json:"hits"`
 	Misses      uint64  `json:"misses"`
 	Joins       uint64  `json:"joins"`
-}
-
-// benchBootAmortization measures what checkpointed boot images buy: the
-// microbenchmark times a fresh kernel boot against a fork from a captured
-// checkpoint (the BenchmarkBootVsFork numbers), and the sweep comparison
-// reruns an accuracy sweep with -checkpoint at a setup-dominated
-// configuration (near-zero simulated work, ganging off) so the ratio
-// measures per-run setup — fresh boots versus forks — rather than
-// simulation time. Outputs are byte-identical either way (the
-// `make verify-checkpoint` gate), so both speedups are pure setup cost.
-type benchBootAmortization struct {
-	Frames          int     `json:"frames"`
-	BootMicros      float64 `json:"boot_micros"`
-	ForkMicros      float64 `json:"fork_micros"`
-	ForkSpeedup     float64 `json:"fork_speedup"`
-	FreshSeconds    float64 `json:"fresh_seconds"`
-	ForkedSeconds   float64 `json:"forked_seconds"`
-	SweepSpeedup    float64 `json:"sweep_speedup"`
-	Images          uint64  `json:"images"`
-	Forks           uint64  `json:"forks"`
-	ForksPerImage   float64 `json:"forks_per_image"`
-	SweepExperiment string  `json:"sweep_experiment"`
 }
 
 // benchExperiment times one experiment's full regeneration. Baseline is
@@ -121,8 +99,8 @@ type benchExperiment struct {
 var gangSuiteIDs = []string{"figure3", "table8", "table9"}
 
 // benchGangSuite compares the ganged accuracy sweeps against their solo
-// baselines. Outputs are byte-identical (the `make verify-gang` gate), so
-// the speedup is pure execution sharing.
+// baselines. Outputs are byte-identical (TestModeLattice), so the
+// speedup is pure execution sharing.
 type benchGangSuite struct {
 	Experiments        []benchGang `json:"experiments"`
 	SoloSecondsTotal   float64     `json:"solo_seconds_total"`
@@ -242,12 +220,6 @@ func writeBenchJSON(label string, ids []string, opts experiment.Options) error {
 		return err
 	}
 	rep.GangScaling = scaling
-
-	amort, err := benchBootAmortizationRun(opts)
-	if err != nil {
-		return err
-	}
-	rep.BootAmortization = amort
 
 	rc, err := benchResultCacheRun(opts)
 	if err != nil {
@@ -374,8 +346,8 @@ func bestOf(n int, f func() (float64, error)) (float64, error) {
 // benchHot times one uninstrumented run of the named workload end to end
 // in three configurations: fast (batched fast path, compiled replay),
 // interp (fast path, interpreted program), and baseline (per-reference
-// path). All three are identical simulations (the verify-fastpath and
-// verify-compiled invariants), so instructions are counted once. Each
+// path). All three are identical simulations (the fastpath and compile
+// cells of TestModeLattice), so instructions are counted once. Each
 // configuration reports its best of three runs.
 func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 	const scale = 2000
@@ -438,113 +410,6 @@ func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 		BaselineRefsPerSec: float64(instr) / base,
 		Speedup:            base / fast,
 	}, nil
-}
-
-// benchBootAmortizationRun times boot against checkpoint fork. The
-// microbenchmark isolates kernel setup: fresh boots (the pools warm, so
-// allocation is already amortized) against forks from one captured
-// checkpoint. The sweep comparison reruns an accuracy-sweep experiment
-// with checkpointing on, counting the forks each captured image served.
-func benchBootAmortizationRun(opts experiment.Options) (benchBootAmortization, error) {
-	const sweepID = "figure3"
-	// 8192 frames is the evaluation default (and BenchmarkBootVsFork's
-	// geometry); the boot-side frame shuffle scales with frames while the
-	// fork cost is flat, so the ratio is only meaningful at the frame
-	// count the evaluation actually boots.
-	out := benchBootAmortization{Frames: 8192, SweepExperiment: sweepID}
-
-	kcfg := kernel.DefaultConfig(tapeworm.DECstation(out.Frames), opts.Seed)
-	const iters = 2000
-	// Warm the pools so both sides measure setup work, not first-touch
-	// allocation.
-	for i := 0; i < 8; i++ {
-		k := kernel.MustBoot(kcfg)
-		k.ReleaseBuffers()
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		k := kernel.MustBoot(kcfg)
-		k.ReleaseBuffers()
-	}
-	out.BootMicros = time.Since(start).Seconds() / iters * 1e6
-
-	src := kernel.MustBoot(kcfg)
-	cp, err := kernel.Capture(src, "bench")
-	src.ReleaseBuffers()
-	if err != nil {
-		return out, err
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		k, err := kernel.Fork(cp, kcfg)
-		if err != nil {
-			return out, err
-		}
-		k.ReleaseCheckpoint()
-	}
-	out.ForkMicros = time.Since(start).Seconds() / iters * 1e6
-	out.ForkSpeedup = out.BootMicros / out.ForkMicros
-
-	fn, err := experiment.ByID(sweepID)
-	if err != nil {
-		return out, err
-	}
-	// The sweep comparison isolates setup cost. At evaluation scale the
-	// sweep is simulation-dominated — a few ganged executions spend
-	// hundreds of milliseconds simulating against tens of microseconds
-	// of boot, so the fresh/forked ratio degenerates to 1.0 and the
-	// measurement is pure timing noise (which is exactly how the PR 7
-	// ensureOwned copy-on-write regression hid inside it: the forked
-	// path's per-write tax and the boot saving were both invisible).
-	// Downscaling the simulated work to ~nothing and disabling ganging
-	// makes every run pay its own kernel setup, so the ratio measures
-	// what the section is named for: fresh boots against forks, plus any
-	// residual copy-on-write tax the forked runs carry.
-	timeSweep := func(checkpoint bool) (float64, error) {
-		o := opts
-		o.Progress = nil
-		o.Telemetry = nil
-		o.Scale = 1e6 // ~zero simulated instructions: setup is the run
-		o.Frames = out.Frames
-		o.NoGang = true // every run boots (or forks) for itself
-		o.Checkpoint = checkpoint
-		start := time.Now()
-		if _, err := fn(o); err != nil {
-			return 0, fmt.Errorf("%s: %w", sweepID, err)
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	// Image/fork counts come from the first forked run only: the later
-	// attempts fork from the images this run captured.
-	img0, fk0, _ := experiment.CheckpointStats()
-	runtime.GC()
-	if out.ForkedSeconds, err = timeSweep(true); err != nil {
-		return out, err
-	}
-	img1, fk1, _ := experiment.CheckpointStats()
-	out.Images, out.Forks = img1-img0, fk1-fk0
-	// Fresh and forked attempts alternate so machine drift lands on both
-	// sides equally; each side keeps its minimum.
-	out.FreshSeconds = math.Inf(1)
-	for i := 0; i < 4; i++ {
-		f, err := bestOf(1, func() (float64, error) { return timeSweep(false) })
-		if err != nil {
-			return out, err
-		}
-		out.FreshSeconds = math.Min(out.FreshSeconds, f)
-		k, err := bestOf(1, func() (float64, error) { return timeSweep(true) })
-		if err != nil {
-			return out, err
-		}
-		out.ForkedSeconds = math.Min(out.ForkedSeconds, k)
-	}
-	out.SweepSpeedup = out.FreshSeconds / out.ForkedSeconds
-	if out.Images > 0 {
-		out.ForksPerImage = float64(out.Forks) / float64(out.Images)
-	}
-	fmt.Fprintf(os.Stderr, "  bench boot-amortization  boot %.1fµs  fork %.1fµs  speedup %.2fx  (%s: %d forks / %d images)\n",
-		out.BootMicros, out.ForkMicros, out.ForkSpeedup, sweepID, out.Forks, out.Images)
-	return out, nil
 }
 
 // benchResultCacheRun runs the twsweep design-space grid twice through

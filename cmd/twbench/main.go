@@ -13,8 +13,6 @@
 //	twbench -fastpath=false         # force the per-reference execution path
 //	twbench -compile=false          # force the interpreted workload programs
 //	twbench -gang=false             # run every configuration as its own execution
-//	twbench -gang-demux linear      # per-member linear gang trap demux
-//	twbench -checkpoint             # fork runs from cached post-boot images
 //	twbench -result-cache           # serve repeated identical runs from the result cache
 //	twbench -result-cache-dir /tmp/rc   # persist results across invocations
 //	twbench -bench-json pr4         # time fast vs. baseline and ganged vs. solo, write BENCH_pr4.json
@@ -23,7 +21,9 @@
 // (default GOMAXPROCS workers; -parallel overrides). Results, progress
 // lines and telemetry commits are all assembled in submission order, so
 // the report, the metrics file and the trace stream are byte-identical
-// at any parallelism.
+// at any parallelism. An experiment that fails prints its error in place
+// of its table; the rest of the report still renders, and twbench exits
+// non-zero at the end.
 package main
 
 import (
@@ -54,16 +54,12 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a JSONL trap-event trace to this file")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 
-		checkpoint    = flag.Bool("checkpoint", false, "fork runs from cached post-boot images instead of booting fresh (results are byte-identical either way)")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist boot images to this directory and reload them across invocations (requires -checkpoint)")
-
 		resultCache    = flag.Bool("result-cache", false, "serve repeated identical runs from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
-		fastpath   = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
-		compile    = flag.Bool("compile", true, "replay pre-compiled workload programs (results are byte-identical either way)")
-		gang       = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
-		gangDemux  = flag.String("gang-demux", "bitset", "gang trap demux strategy: bitset or linear (results are byte-identical either way)")
+		fastpath        = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
+		compile         = flag.Bool("compile", true, "replay pre-compiled workload programs (results are byte-identical either way)")
+		gang            = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
 		benchLabel      = flag.String("bench-json", "", "time each experiment with the fast path on and off plus a hot-loop microbenchmark and the ganged accuracy-sweep suite, and write BENCH_<label>.json")
 		verifyIntervals = flag.Bool("verify-intervals", false, "run the interval-sampling measurement alone and exit non-zero unless it meets the CI gates (speedup >= 5, miss-ratio error <= 0.02)")
 
@@ -83,13 +79,9 @@ func main() {
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: *trials, Frames: *frames,
 		Parallelism: *parallel, NoFastPath: !*fastpath, NoCompile: !*compile,
-		NoGang: !*gang, LinearGangDemux: *gangDemux == "linear",
-		Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
+		NoGang:      !*gang,
 		ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
-	}
-	if *gangDemux != "bitset" && *gangDemux != "linear" {
-		fail(fmt.Errorf("-gang-demux must be bitset or linear, got %q", *gangDemux))
 	}
 	if err := opts.Validate(); err != nil {
 		fail(err)
@@ -144,6 +136,15 @@ func main() {
 	if *runIDs != "" {
 		ids = strings.Split(*runIDs, ",")
 	}
+	fns := make([]experiment.Func, len(ids))
+	for i := range ids {
+		ids[i] = strings.TrimSpace(ids[i])
+		fn, err := experiment.ByID(ids[i])
+		if err != nil {
+			fail(err)
+		}
+		fns[i] = fn
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -157,24 +158,7 @@ func main() {
 
 	fmt.Fprintf(out, "Tapeworm II evaluation reproduction (scale 1/%.0f, %d trials, seed %d)\n\n",
 		*scale, *trials, *seed)
-	for _, id := range ids {
-		id := strings.TrimSpace(id)
-		fn, err := experiment.ByID(id)
-		if err != nil {
-			fail(err)
-		}
-		coll.SetScope(id)
-		start := time.Now()
-		table, err := fn(opts)
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", id, err))
-		}
-		if note := experiment.PhaseNote(opts); note != "" {
-			table.Notes = append(table.Notes, note)
-		}
-		fmt.Fprintln(out, table.Render())
-		fmt.Fprintf(out, "(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
+	failed := report(out, ids, fns, opts, coll)
 
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
@@ -196,6 +180,33 @@ func main() {
 			fail(err)
 		}
 	}
+	if failed > 0 {
+		fail(fmt.Errorf("%d of %d experiments failed", failed, len(ids)))
+	}
+}
+
+// report renders the experiments fns (named ids) to out in order. An
+// experiment that fails — Table 11, say, run where the source tree is
+// not at hand — prints "(<id> failed: <err>)" in its table's place and
+// the report goes on. report returns the number of failures.
+func report(out io.Writer, ids []string, fns []experiment.Func, opts experiment.Options, coll *telemetry.Collector) int {
+	failed := 0
+	for i, id := range ids {
+		coll.SetScope(id)
+		start := time.Now()
+		table, err := fns[i](opts)
+		if err != nil {
+			failed++
+			fmt.Fprintf(out, "(%s failed: %v)\n\n", id, err)
+			continue
+		}
+		if note := experiment.PhaseNote(opts); note != "" {
+			table.Notes = append(table.Notes, note)
+		}
+		fmt.Fprintln(out, table.Render())
+		fmt.Fprintf(out, "(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())
+	}
+	return failed
 }
 
 func fail(err error) {

@@ -29,6 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Kernel().ReleaseBuffers()
 	tw, err := sys.AttachTapeworm(tapeworm.SimConfig{
 		Mode: tapeworm.ModeICache,
 		Cache: tapeworm.CacheConfig{

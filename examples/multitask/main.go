@@ -21,6 +21,7 @@ func run(simUser, simServers, simKernel bool) (misses uint64, byComp [3]uint64, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Kernel().ReleaseBuffers()
 	tw, err := sys.AttachTapeworm(tapeworm.SimConfig{
 		Mode: tapeworm.ModeICache,
 		Cache: tapeworm.CacheConfig{

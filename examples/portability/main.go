@@ -18,6 +18,7 @@ func attach(machine tapeworm.MachineConfig, label string, cfg tapeworm.SimConfig
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Kernel().ReleaseBuffers()
 	tw, err := sys.AttachTapeworm(cfg)
 	if err != nil {
 		fmt.Printf("    %-10s -> NOT SUPPORTED: %v\n", label, err)

@@ -21,6 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer normal.Kernel().ReleaseBuffers()
 	if _, err := normal.LoadWorkload("mpeg_play", scale, seed, false); err != nil {
 		log.Fatal(err)
 	}
@@ -38,6 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Kernel().ReleaseBuffers()
 	tw, err := sys.AttachTapeworm(tapeworm.SimConfig{
 		Mode: tapeworm.ModeICache,
 		Cache: tapeworm.CacheConfig{

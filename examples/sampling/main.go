@@ -25,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer normal.Kernel().ReleaseBuffers()
 	if _, err := normal.LoadWorkload("mpeg_play", scale, seed, false); err != nil {
 		log.Fatal(err)
 	}
@@ -66,6 +67,7 @@ func main() {
 			}
 			ests = append(ests, tw.EstimatedMisses())
 			slowSum += tapeworm.Slowdown(sys.Monitor(), base)
+			sys.Kernel().ReleaseBuffers()
 		}
 		sum := stats.Summarize(ests)
 		fmt.Printf("1/%-7d %9.2fx %14.0f %9.0f (%.0f%%)\n",

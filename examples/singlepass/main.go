@@ -26,6 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Kernel().ReleaseBuffers()
 	task, err := sys.LoadWorkload("espresso", scale, seed, false)
 	if err != nil {
 		log.Fatal(err)
@@ -59,6 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys2.Kernel().ReleaseBuffers()
 	tw, err := sys2.AttachTapeworm(tapeworm.SimConfig{
 		Mode: tapeworm.ModeICache,
 		Cache: tapeworm.CacheConfig{

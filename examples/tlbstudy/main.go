@@ -44,6 +44,7 @@ func main() {
 		snap := sys.Monitor()
 		fmt.Printf("%8d %12d %16.3f\n", entries, tw.Misses(),
 			1000*float64(tw.Misses())/float64(snap.Instructions))
+		sys.Kernel().ReleaseBuffers()
 	}
 
 	fmt.Println("\nNote: kernel kseg0 is not TLB-mapped on the R3000, so the")

@@ -31,9 +31,9 @@ func TestFactsRoundTrip(t *testing.T) {
 	RegisterFactTypes(factAnalyzers)
 	in := factSet{
 		{analyzer: "roundtrip", object: "MustFork"}: &roundtripFact{
-			Deltas: map[string]int{"checkpoint fork": 1}, Note: "transfer"},
-		{analyzer: "roundtrip", object: "(*Kernel).ReleaseCheckpoint"}: &roundtripFact{
-			Deltas: map[string]int{"checkpoint fork": -1}},
+			Deltas: map[string]int{"kernel boot buffers": 1}, Note: "transfer"},
+		{analyzer: "roundtrip", object: "(*Kernel).ReleaseBuffers"}: &roundtripFact{
+			Deltas: map[string]int{"kernel boot buffers": -1}},
 		{analyzer: "roundtrip", object: "Scrap"}: &roundtripFact{},
 	}
 

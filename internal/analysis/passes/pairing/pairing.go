@@ -3,7 +3,8 @@
 // Go reproduction's resource pairs: mem trap reference counts, mach
 // instruction-breakpoint arm/clear, the sync.Pool-backed buffer recycling
 // in mem/pool.go, the kernel's pooled boot buffers released by
-// Kernel.ReleaseBuffers, result-cache claims, and checkpoint forks.
+// Kernel.ReleaseBuffers (booted and checkpoint-forked kernels alike), and
+// result-cache claims.
 //
 // The path-balance core (internal/analysis/passes/pathbal) is structural:
 // within one function, every path — fallthrough, early return, both arms
@@ -109,8 +110,14 @@ var pairs = []pathbal.Pair{
 		Transferable: true,
 	},
 	{
-		Name:         "kernel boot buffers",
-		Acquires:     []string{"tapeworm/internal/kernel.Boot", "tapeworm/internal/kernel.MustBoot"},
+		// A booted or forked kernel owns pooled frame tables plus whatever
+		// its Phys allocates (a fork: whatever its copy-on-write Phys
+		// materializes). ForkRun is the mid-run fork: it wraps Fork and
+		// transfers the same ownership, so interval-replay call sites must
+		// release the forked kernel on every path through a replay.
+		Name: "kernel boot buffers",
+		Acquires: []string{"tapeworm/internal/kernel.Boot", "tapeworm/internal/kernel.MustBoot",
+			"tapeworm/internal/kernel.Fork", "tapeworm/internal/kernel.ForkRun"},
 		Releases:     []string{"(*tapeworm/internal/kernel.Kernel).ReleaseBuffers"},
 		Transferable: true,
 	},
@@ -123,19 +130,6 @@ var pairs = []pathbal.Pair{
 		Name:         "result cache claim",
 		Acquires:     []string{"(*tapeworm/internal/resultcache.Store).Acquire"},
 		Releases:     []string{"(*tapeworm/internal/resultcache.Claim).Release"},
-		Transferable: true,
-	},
-	{
-		// A forked kernel owns pooled frame tables plus whatever its
-		// copy-on-write Phys materializes; ReleaseCheckpoint is the
-		// matching teardown (ReleaseBuffers also suffices at runtime, but
-		// fork call sites should pair with the checkpoint-aware release).
-		// ForkRun is the mid-run fork: it wraps Fork and transfers the same
-		// ownership, so interval-replay call sites must release the forked
-		// kernel on every path through a replay.
-		Name:         "checkpoint fork",
-		Acquires:     []string{"tapeworm/internal/kernel.Fork", "tapeworm/internal/kernel.ForkRun"},
-		Releases:     []string{"(*tapeworm/internal/kernel.Kernel).ReleaseCheckpoint"},
 		Transferable: true,
 	},
 }

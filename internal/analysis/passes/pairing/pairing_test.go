@@ -26,7 +26,7 @@ func TestPairingResultCacheClaim(t *testing.T) {
 }
 
 // TestPairingCheckpointFork checks the checkpoint fork lifecycle —
-// Fork/ForkRun acquire, ReleaseCheckpoint releases, //twvet:transfer
+// Fork/ForkRun acquire, ReleaseBuffers releases, //twvet:transfer
 // moves ownership — against a stand-in kernel under the real import
 // path.
 func TestPairingCheckpointFork(t *testing.T) {

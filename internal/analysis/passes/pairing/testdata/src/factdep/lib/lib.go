@@ -20,5 +20,5 @@ func MustFork(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.ProgramRes
 // Scrap releases a forked kernel through its parameter: the dual
 // ReleasesResource fact.
 func Scrap(fk *kernel.Kernel) {
-	fk.ReleaseCheckpoint()
+	fk.ReleaseBuffers()
 }

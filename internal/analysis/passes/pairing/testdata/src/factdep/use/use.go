@@ -22,7 +22,7 @@ func replayBalanced(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.Prog
 func replayLeaked(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.ProgramResume) {
 	fk := lib.MustFork(cp, cfg, resume)
 	fk.Run(1000)
-} // want `checkpoint fork acquired but not released`
+} // want `kernel boot buffers acquired but not released`
 
 var _ = replayBalanced
 var _ = replayLeaked

@@ -1,8 +1,8 @@
 // Package kernel is a golden-test stand-in for the real
 // tapeworm/internal/kernel: it redeclares the checkpoint fork lifecycle
-// (Fork, ForkRun, ReleaseCheckpoint) under the same import path, so the
+// (Fork, ForkRun, ReleaseBuffers) under the same import path, so the
 // pairing analyzer's fully-qualified name matching sees the genuine
-// checkpoint-fork pair without the test depending on the real kernel's
+// kernel-buffer pair without the test depending on the real kernel's
 // internals.
 package kernel
 
@@ -27,7 +27,7 @@ type Program interface{}
 type ProgramResume func(ProgramCursor) (Program, error)
 
 // Fork mirrors the real post-boot fork: the returned kernel owns pooled
-// buffers until ReleaseCheckpoint.
+// buffers until ReleaseBuffers.
 func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	if cp == nil {
 		return nil, errors.New("nil checkpoint")
@@ -44,8 +44,8 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 	return &Kernel{}, nil
 }
 
-// ReleaseCheckpoint mirrors the real pooled-buffer teardown.
-func (k *Kernel) ReleaseCheckpoint() {}
+// ReleaseBuffers mirrors the real pooled-buffer teardown.
+func (k *Kernel) ReleaseBuffers() {}
 
 // Run mirrors the real run loop.
 func (k *Kernel) Run(n int) {}
@@ -58,7 +58,7 @@ func forkRunBalanced(cp *Checkpoint, cfg Config, resume ProgramResume) error {
 	if err != nil {
 		return err
 	}
-	defer fk.ReleaseCheckpoint()
+	defer fk.ReleaseBuffers()
 	fk.Run(1000)
 	return nil
 }
@@ -71,10 +71,10 @@ func forkRunLeakedOnError(cp *Checkpoint, cfg Config, resume ProgramResume, bad 
 		return err
 	}
 	if bad {
-		return errors.New("window diverged") // want `checkpoint fork acquired but not released`
+		return errors.New("window diverged") // want `kernel boot buffers acquired but not released`
 	}
 	fk.Run(1000)
-	fk.ReleaseCheckpoint()
+	fk.ReleaseBuffers()
 	return nil
 }
 
@@ -87,7 +87,7 @@ func forkRunNeverReleased(cp *Checkpoint, cfg Config, resume ProgramResume) erro
 		return err
 	}
 	fk.Run(1000)
-	return nil // want `checkpoint fork acquired but not released`
+	return nil // want `kernel boot buffers acquired but not released`
 }
 
 // forkRunTransfer hands the forked kernel to its caller — the real

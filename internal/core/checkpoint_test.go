@@ -17,7 +17,7 @@ func forkDEC(t *testing.T, seed, pageSeed uint64) (fresh, fork *kernel.Kernel) {
 	cfg := kernel.DefaultConfig(mach.DECstation5000_200(4096), seed)
 	cfg.PageSeed = pageSeed
 	src := kernel.MustBoot(cfg)
-	cp, err := kernel.Capture(src, "post-boot")
+	cp, err := kernel.CaptureAt(src, "post-boot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func forkDEC(t *testing.T, seed, pageSeed uint64) (fresh, fork *kernel.Kernel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(fork.ReleaseCheckpoint)
+	t.Cleanup(fork.ReleaseBuffers)
 	return kernel.MustBoot(cfg), fork
 }
 

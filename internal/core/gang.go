@@ -76,10 +76,10 @@ type Gang struct {
 	invalidMask map[vkey]uint64
 
 	// wide gangs (>64 members) exceed the mask width; linear forces the
-	// per-member probe walk for the `make verify-gang-demux` byte-identity
-	// gate. Either way delivery falls back to the original linear demux,
-	// which visits members in the same ascending index order as the bit
-	// walk — results are identical by construction.
+	// per-member probe walk for narrow gangs too (gang_demux_test.go uses
+	// it as the oracle). Either way delivery falls back to the linear
+	// demux, which visits members in the same ascending index order as
+	// the bit walk — results are identical by construction.
 	wide   bool
 	linear bool
 }
@@ -90,11 +90,6 @@ const (
 	maskPageShift = 10
 	maskPageWords = 1 << maskPageShift
 )
-
-// SetLinearDemux forces (true) or re-enables (false) the per-member
-// linear trap demux in place of the member-intent bitset walk. Results
-// are byte-identical either way; the verify-gang-demux gate runs both.
-func (g *Gang) SetLinearDemux(v bool) { g.linear = v }
 
 // bitsetDemux reports whether trap delivery may take the mask walk.
 func (g *Gang) bitsetDemux() bool { return !g.wide && !g.linear }

@@ -53,7 +53,7 @@ func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, linear bo
 	t.Helper()
 	k := bootDEC(t, 11, 13)
 	g := MustAttachGang(k, cfgs)
-	g.SetLinearDemux(linear)
+	g.linear = linear
 	spawnWorkload(t, k, wl, seed, true)
 	if detachAt > 0 {
 		if err := k.Run(detachAt); err != nil {

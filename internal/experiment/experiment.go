@@ -49,45 +49,27 @@ type Options struct {
 	// Telemetry, if non-nil, collects per-run metrics and trap events.
 	// Each run gets its own telemetry.Run, committed in submission order.
 	// Nothing rendered into tables flows through telemetry, so tables
-	// are byte-identical with it on or off.
+	// are byte-identical with it on or off (TestModeLattice).
 	Telemetry *telemetry.Collector
 	// NoFastPath forces every simulated reference through the
 	// per-reference path, disabling the machine's batched hit fast path.
-	// Results are byte-identical either way (the `make verify-fastpath`
-	// gate); this exists for that gate and for benchmarking the speedup.
+	// Results are byte-identical either way (TestModeLattice); this
+	// exists for that test and for benchmarking the speedup.
 	NoFastPath bool
 	// NoCompile forces every workload through the interpreted program
 	// instead of the compiled replay. Results are byte-identical either
-	// way (the `make verify-compiled` gate); this exists for that gate
-	// and for benchmarking the compiled hot loop.
+	// way (TestModeLattice); this exists for that test and for
+	// benchmarking the compiled hot loop.
 	NoCompile bool
-	// LinearGangDemux forces the gang trap demultiplexer onto the
-	// per-member linear probe walk instead of the member-intent bitset
-	// walk. Results are byte-identical either way (the
-	// `make verify-gang-demux` gate).
-	LinearGangDemux bool
 	// NoGang suppresses the grouping of gang-eligible runs into shared
 	// executions; each then runs as a gang of one. Results are
-	// byte-identical either way (the `make verify-gang` gate); this exists
-	// for that gate and for benchmarking the ganged speedup.
+	// byte-identical either way (TestModeLattice); this exists for that
+	// test and for benchmarking the ganged speedup.
 	NoGang bool
-	// Checkpoint forks every run's kernel from a process-wide cached
-	// post-boot checkpoint (one per (seed, pageSeed, frames) identity)
-	// instead of booting fresh. Results are byte-identical either way
-	// (the `make verify-checkpoint` gate); the win is boot amortization —
-	// the frame-allocator shuffle and walker construction happen once per
-	// identity instead of once per run.
-	Checkpoint bool
-	// CheckpointDir, when set (requires Checkpoint), persists captured
-	// boot checkpoints as gob files in that directory and loads matching
-	// ones instead of re-capturing, so the boot cost amortizes across
-	// processes as well as runs. Files that do not match the requested
-	// identity are rejected with a wrapped kernel.ErrCheckpointMismatch.
-	CheckpointDir string
 	// ResultCache serves runs whose full execution identity has been
 	// seen before from the process-wide content-addressed result store
 	// instead of re-simulating them. Results are byte-identical either
-	// way (the `make verify-resultcache` gate): a cached result IS the
+	// way (TestModeLattice): a cached result IS the
 	// deterministic output of the identical run that produced it. Gang
 	// groups simulate only their missing members. Ignored (cache
 	// bypassed) when Telemetry is set — cache hits simulate nothing and
@@ -142,17 +124,6 @@ func (o Options) Validate() error {
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("experiment: Parallelism must be non-negative, got %d", o.Parallelism)
-	}
-	if o.CheckpointDir != "" {
-		if !o.Checkpoint {
-			return fmt.Errorf("experiment: CheckpointDir %q requires Checkpoint", o.CheckpointDir)
-		}
-		if strings.TrimSpace(o.CheckpointDir) == "" {
-			return fmt.Errorf("experiment: CheckpointDir must not be blank")
-		}
-		if st, err := os.Stat(o.CheckpointDir); err == nil && !st.IsDir() {
-			return fmt.Errorf("experiment: CheckpointDir %q is not a directory", o.CheckpointDir)
-		}
 	}
 	if o.ResultCacheDir != "" {
 		if !o.ResultCache {

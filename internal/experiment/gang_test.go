@@ -1,16 +1,13 @@
 package experiment
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-
-	"tapeworm/internal/telemetry"
 )
 
-// TestGangDeterminism is the in-process version of the `make verify-gang`
-// gate: gang-eligible experiments must render byte-identical tables with
-// grouping on and off, serial and parallel. figure3 gangs an entire sweep
+// TestGangDeterminism: gang-eligible experiments beyond TestModeLattice's
+// must render byte-identical tables with grouping on and off, serial and
+// parallel. figure3 gangs an entire sweep
 // into one execution; table8 gangs per trial; table6 exercises the
 // gang-of-one path (its jobs differ in component flags, so nothing
 // groups).
@@ -90,40 +87,6 @@ func TestGangProgressOrder(t *testing.T) {
 			if got[i] != solo[i] {
 				t.Errorf("%s: line %d = %q, want %q (submission order)", c.label, i, got[i], solo[i])
 			}
-		}
-	}
-}
-
-// TestGangTelemetryKeepsTablesIdentical: enabling telemetry must not
-// change a ganged table's bytes (nothing rendered flows through
-// telemetry), and per-run telemetry names must match the solo naming so
-// downstream tooling sees the same run set.
-func TestGangTelemetryKeepsTablesIdentical(t *testing.T) {
-	o := parallelOptions(2)
-	base, err := Table8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll := telemetry.New(telemetry.Config{})
-	coll.SetScope("table8")
-	o.Telemetry = coll
-	withTel, err := Table8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Render() != withTel.Render() {
-		t.Error("table8 render changed when telemetry was enabled on ganged runs")
-	}
-	rep := coll.Snapshot()
-	if len(rep.Experiments) != 1 || rep.Experiments[0].Totals.Runs == 0 {
-		t.Fatal("telemetry recorded no runs for ganged table8")
-	}
-	// Ganged runs must keep the solo run naming (one run per original job
-	// index) so downstream tooling sees the same run set either way.
-	runs := rep.Experiments[0].Runs
-	for i, r := range runs {
-		if want := fmt.Sprintf("run%d", i); r.Name != want {
-			t.Errorf("run %d named %q, want %q", i, r.Name, want)
 		}
 	}
 }

@@ -41,7 +41,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync"
 
@@ -103,8 +102,8 @@ type intervalProfile struct {
 }
 
 // profileKey identifies one profiling pass. Execution-path toggles that
-// provably do not change results (fastpath, demux, boot checkpointing)
-// are excluded: the marks and base they produce are identical.
+// provably do not change results (fastpath, compile, ganging) are
+// excluded: the marks and base they produce are identical.
 type profileKey struct {
 	spec     workload.Spec
 	seed     uint64
@@ -252,21 +251,18 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	profileRuns++
 	profileMu.Unlock()
 
-	// The profiling kernel boots exactly like a run's (including the boot
-	// checkpoint fork when enabled) but carries no telemetry and spawns
-	// the workload unsimulated: the pass must observe the undilated
-	// machine timeline the ledgered gang shares.
-	prc := rc
-	prc.tel = nil
-	k, release, err := bootKernel(prc, kcfg)
+	// The profiling kernel boots exactly like a run's but carries no
+	// telemetry and spawns the workload unsimulated: the pass must observe
+	// the undilated machine timeline the ledgered gang shares.
+	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		if prc.tally != nil {
-			prc.tally.Add(k.PoolCounts())
+		if rc.tally != nil {
+			rc.tally.Add(k.PoolCounts())
 		}
-		release()
+		k.ReleaseBuffers()
 	}()
 
 	prog, err := workload.NewPlanned(rc.spec, rc.seed)
@@ -290,7 +286,7 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 		if err := k.RunUntilUser(capTarget); err != nil {
 			return nil, err
 		}
-		cp, err := repCheckpointAt(o, rc, kcfg, k, rep.Index)
+		cp, err := kernel.CaptureAt(k, fmt.Sprintf("interval-%d", rep.Index))
 		if err != nil {
 			return nil, err
 		}
@@ -324,34 +320,6 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	base.counters = m.Counters()
 
 	return &intervalProfile{plan: plan, marks: marks, base: base}, nil
-}
-
-// repCheckpointAt produces the checkpoint at the kernel's current
-// position: loaded from the checkpoint directory when a valid file
-// exists (a stale one — wrong stream position for this plan — is a
-// wrapped kernel.ErrCheckpointMismatch), otherwise captured and, with a
-// directory configured, persisted.
-func repCheckpointAt(o Options, rc runConfig, kcfg kernel.Config, k *kernel.Kernel, interval int) (*kernel.Checkpoint, error) {
-	mark := fmt.Sprintf("interval-%d", interval)
-	if !rc.checkpoint || rc.checkpointDir == "" {
-		return kernel.CaptureAt(k, mark)
-	}
-	path := intervalCheckpointPath(rc.checkpointDir, kcfg, rc.spec, interval)
-	cp, err := loadIntervalCheckpoint(path, kcfg, k.UserInstructions())
-	if err == nil {
-		return cp, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
-	cp, err = kernel.CaptureAt(k, mark)
-	if err != nil {
-		return nil, err
-	}
-	if err := saveCheckpoint(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
 }
 
 //twvet:digest ckKey
@@ -482,7 +450,7 @@ func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
 		if rc0.tally != nil {
 			rc0.tally.Add(fk.PoolCounts())
 		}
-		fk.ReleaseCheckpoint()
+		fk.ReleaseBuffers()
 	}()
 
 	cfgs := make([]core.Config, len(rcs))
@@ -497,7 +465,6 @@ func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
 	if err != nil {
 		return err
 	}
-	g.SetLinearDemux(rc0.linearDemux)
 
 	// The profiling pass spawned the workload unsimulated; flip the live
 	// user tasks to the group's attributes before sweeping resident

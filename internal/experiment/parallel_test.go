@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"tapeworm/internal/mem"
 )
 
 // parallelOptions is deliberately coarse: the determinism gate compares
@@ -12,37 +14,6 @@ import (
 func parallelOptions(parallelism int) Options {
 	return Options{Scale: 4000, Seed: 1994, Trials: 3, Frames: 4096,
 		Parallelism: parallelism}
-}
-
-// TestParallelDeterminism is the regression gate for the run scheduler:
-// representative experiments (one slowdown study, one variance study)
-// must render byte-identical tables at Parallelism 1 and 8. Every run
-// boots a private kernel with seed-derived RNG streams, so execution
-// order cannot leak into results — only into progress-line order.
-func TestParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"figure2", "table7"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			fn, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serialTab, err := fn(parallelOptions(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallelTab, err := fn(parallelOptions(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, parallel := serialTab.Render(), parallelTab.Render()
-			if serial != parallel {
-				t.Errorf("%s renders differ between Parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					id, serial, parallel)
-			}
-		})
-	}
 }
 
 // TestParallelProgressComplete: the scheduler must deliver exactly the
@@ -108,5 +79,29 @@ func TestParallelismOneMatchesLegacySerial(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("line %d = %q, want %q (serial submission order)", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPoolTallyAttribution: the per-option-set tally must count exactly
+// the pool traffic of its own runs, independent of the process-global
+// counters that other concurrent suites pollute.
+func TestPoolTallyAttribution(t *testing.T) {
+	var tally mem.PoolTally
+	o := parallelOptions(8)
+	o.Seed = 2027
+	o.PoolTally = &tally
+	if _, err := Table6(o); err != nil {
+		t.Fatal(err)
+	}
+	gets, reuses := tally.Counts()
+	if gets == 0 {
+		t.Fatal("tally recorded no pool gets")
+	}
+	if reuses > gets {
+		t.Fatalf("tally reuses %d exceed gets %d", reuses, gets)
+	}
+	tally.Reset()
+	if g, r := tally.Counts(); g != 0 || r != 0 {
+		t.Fatal("Reset did not zero the tally")
 	}
 }

@@ -1,8 +1,8 @@
 package experiment
 
 // Content-addressed result caching. Every run's runResult is a pure
-// function of its execution identity — the byte-identity verify gates
-// (fastpath/gang/compiled/checkpoint) prove it — so results are cached by
+// function of its execution identity — TestModeLattice proves it across
+// the fastpath/compile/gang/parallelism modes — so results are cached by
 // a canonical digest of that identity and served without simulating.
 // Integration happens at the execution-group level in runAll: a gang
 // group simulates only the members whose digests miss (a partial gang,
@@ -29,7 +29,7 @@ import (
 const maxCachedResults = 4096
 
 // resultStore is the process-wide result cache, mirroring the compiled
-// image and checkpoint caches: one instance, shared by every experiment
+// image and interval checkpoint caches: one instance, shared by every experiment
 // in the process, safe for concurrent groups.
 var resultStore = resultcache.New(maxCachedResults, encodeResult, decodeResult)
 
@@ -46,15 +46,14 @@ func ResetResultCache() { resultStore.Reset() }
 // runConfig must already be normalized (the option-derived flags folded
 // in, as runAll's workers do), so the digest never depends on where a
 // flag was spelled. Execution-path flags that provably do not change
-// results (fastpath, compile, demux, checkpoint, ganging) are hashed
-// anyway: the cache's contract is "same digest, same bytes", and keying
+// results (fastpath, compile, ganging) are hashed anyway: the cache's contract is "same digest, same bytes", and keying
 // conservatively means a flag-flipping verify run exercises fresh
 // simulations instead of trusting the equivalence it is trying to prove.
 //
 //twvet:digest runConfig
 func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h := resultcache.NewHasher()
-	h.WriteString("experiment.run/v3")
+	h.WriteString("experiment.run/v4")
 	h.WriteUint64(core.PhysicsVersion)
 	rc.spec.HashInto(h)
 	h.WriteUint64(rc.seed)
@@ -69,8 +68,6 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h.WriteBool(rc.simKernel)
 	h.WriteBool(rc.noFastPath)
 	h.WriteBool(rc.noCompile)
-	h.WriteBool(rc.linearDemux)
-	h.WriteBool(rc.checkpoint)
 	h.WriteBool(rc.gang)
 	h.WriteBool(o.NoGang)
 	// Interval replay produces extrapolated (not byte-identical) results,
@@ -94,7 +91,8 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 // partial group (a gang of just the misses, or the solo run) and publish
 // their results. Per-member results are identical to the uncached path
 // because gang members' statistics are independent of gang composition —
-// the same invariant that makes verify-gang hold.
+// the same invariant that keeps the ganged and solo cells of
+// TestModeLattice identical.
 //
 // Claims are accumulated in a slice and released by the deferred sweep —
 // ownership moves out of the acquire loop, which the intra-procedural

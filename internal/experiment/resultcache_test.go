@@ -48,8 +48,7 @@ func TestOptionsValidateResultCache(t *testing.T) {
 	}
 }
 
-// TestSweepResultCacheByteIdentity is the in-process version of the
-// `make verify-resultcache` gate: the sweep table must be byte-identical
+// TestSweepResultCacheByteIdentity: the sweep table must be byte-identical
 // with the cache off, cold, warm, and warm at higher parallelism — and
 // the store traffic must be exactly one miss then one hit per run (the
 // grid points plus the uninstrumented normal run).

@@ -24,17 +24,13 @@ type runConfig struct {
 	pageSeed uint64 // frame allocator seed (the Table 9 variance knob)
 	frames   int
 
-	tw          *core.Config // nil: no Tapeworm attached
-	simUser     bool         // register workload fork tree
-	simServers  bool         // register X/BSD server pages
-	simKernel   bool         // register kernel pages
-	noFastPath  bool         // force the per-reference execution path
-	noCompile   bool         // force the interpreted workload program
-	linearDemux bool         // force the per-member linear gang trap demux
+	tw         *core.Config // nil: no Tapeworm attached
+	simUser    bool         // register workload fork tree
+	simServers bool         // register X/BSD server pages
+	simKernel  bool         // register kernel pages
+	noFastPath bool         // force the per-reference execution path
+	noCompile  bool         // force the interpreted workload program
 
-	checkpoint bool // fork the kernel from a cached boot checkpoint
-	//twvet:nohash storage-location — where checkpoints persist cannot change results
-	checkpointDir string // persist/load checkpoints here (requires checkpoint)
 	//twvet:nohash accounting — pool-tally output, never an input to the run
 	tally *mem.PoolTally // non-nil: accumulate this run's pool counts
 
@@ -83,7 +79,7 @@ func run(rc runConfig) (runResult, error) {
 	kcfg.PageSeed = rc.pageSeed
 	kcfg.Telemetry = rc.tel
 	kcfg.Machine.NoFastPath = rc.noFastPath
-	k, release, err := bootKernel(rc, kcfg)
+	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		return res, err
 	}
@@ -95,7 +91,7 @@ func run(rc runConfig) (runResult, error) {
 		if rc.tally != nil {
 			rc.tally.Add(k.PoolCounts())
 		}
-		release()
+		k.ReleaseBuffers()
 	}()
 
 	var tw *core.Tapeworm
@@ -182,33 +178,6 @@ func run(rc runConfig) (runResult, error) {
 	return res, nil
 }
 
-// bootKernel produces the run's kernel: a fresh Boot, or — when the run
-// opts into checkpointing — a Fork from the process-wide cached boot
-// checkpoint for kcfg's (seed, pageSeed, frames) identity. The returned
-// release closure recycles the kernel's pooled buffers either way; the
-// caller must defer it (the twvet pairing pass accounts Boot/Fork against
-// it through this transfer).
-//
-//twvet:transfer
-func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, func(), error) {
-	if !rc.checkpoint {
-		k, err := kernel.Boot(kcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return k, k.ReleaseBuffers, nil
-	}
-	cp, err := cachedCheckpoint(kcfg, rc.checkpointDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	k, err := kernel.Fork(cp, kcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, k.ReleaseCheckpoint, nil
-}
-
 // runGang executes a group of runs that share one workload execution: one
 // booted machine in ledgered-trap mode, one core.Gang of simulators, one
 // pass over the reference stream. Every rcs[i] must agree on everything
@@ -227,7 +196,7 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	// describe the shared execution; they ride on the first member's run.
 	kcfg.Telemetry = rc0.tel
 	kcfg.Machine.NoFastPath = rc0.noFastPath
-	k, release, err := bootKernel(rc0, kcfg)
+	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +207,7 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 		if rc0.tally != nil {
 			rc0.tally.Add(k.PoolCounts())
 		}
-		release()
+		k.ReleaseBuffers()
 	}()
 
 	cfgs := make([]core.Config, len(rcs))
@@ -249,7 +218,6 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetLinearDemux(rc0.linearDemux)
 	for i, tw := range g.Members() {
 		tw.SetTelemetry(rcs[i].tel)
 		if rc0.simServers {
@@ -320,8 +288,7 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 // replay by default (cached across the trials, gang members and
 // fast/baseline pairs that share a (spec, seed) stream), or the
 // interpreter when the run opts out. The two are stream-identical, so
-// every table is byte-identical either way; the verify-compiled gate
-// enforces it.
+// every table is byte-identical either way; TestModeLattice enforces it.
 func newWorkloadProgram(rc runConfig) (kernel.Program, error) {
 	if rc.noCompile {
 		return workload.New(rc.spec, rc.seed)
@@ -408,9 +375,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 				rcs[mi] = jobs[i].cfg
 				rcs[mi].noFastPath = o.NoFastPath
 				rcs[mi].noCompile = o.NoCompile
-				rcs[mi].linearDemux = o.LinearGangDemux
-				rcs[mi].checkpoint = o.Checkpoint
-				rcs[mi].checkpointDir = o.CheckpointDir
 				rcs[mi].tally = o.PoolTally
 				rcs[mi].tel = o.Telemetry.StartRun(fmt.Sprintf("run%d", i))
 				tels[i] = rcs[mi].tel

@@ -1,103 +1,9 @@
 package experiment
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"tapeworm/internal/telemetry"
 )
-
-// TestTelemetryTablesByteIdentical is the tentpole's acceptance gate:
-// figure2 must render byte-identically with telemetry off and on, at
-// parallelism 1 and 8. Nothing table-visible may flow through the
-// telemetry layer.
-func TestTelemetryTablesByteIdentical(t *testing.T) {
-	render := func(parallelism int, coll *telemetry.Collector) string {
-		o := parallelOptions(parallelism)
-		o.Telemetry = coll
-		tab, err := Figure2(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.Render()
-	}
-	baseline := render(1, nil)
-	for _, parallelism := range []int{1, 8} {
-		var trace bytes.Buffer
-		coll := telemetry.New(telemetry.Config{Trace: &trace})
-		coll.SetScope("figure2")
-		got := render(parallelism, coll)
-		if got != baseline {
-			t.Errorf("parallelism %d: table with telemetry differs from baseline:\n--- baseline ---\n%s\n--- telemetry ---\n%s",
-				parallelism, baseline, got)
-		}
-		rep := coll.Snapshot()
-		if len(rep.Experiments) != 1 || rep.Experiments[0].Totals.Runs == 0 {
-			t.Fatalf("parallelism %d: telemetry recorded no runs", parallelism)
-		}
-		if rep.Experiments[0].Totals.Events == 0 {
-			t.Errorf("parallelism %d: telemetry recorded no trap events", parallelism)
-		}
-		if trace.Len() == 0 {
-			t.Errorf("parallelism %d: empty trace stream", parallelism)
-		}
-		sc := bufio.NewScanner(&trace)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			var ev telemetry.Event
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				t.Fatalf("parallelism %d: bad JSONL line %q: %v", parallelism, sc.Text(), err)
-			}
-			if ev.Kind == "" || !strings.HasPrefix(ev.Run, "figure2/run") {
-				t.Fatalf("parallelism %d: malformed event %+v", parallelism, ev)
-			}
-		}
-	}
-}
-
-// TestTelemetryDeterministicAcrossParallelism: because runs are committed
-// through the submission-order heap, per-run metrics (indexes, names,
-// counters, events) must be identical at parallelism 1 and 8; only wall
-// times may differ.
-func TestTelemetryDeterministicAcrossParallelism(t *testing.T) {
-	collect := func(parallelism int) (telemetry.Report, string) {
-		var trace bytes.Buffer
-		coll := telemetry.New(telemetry.Config{Trace: &trace})
-		coll.SetScope("figure2")
-		o := parallelOptions(parallelism)
-		o.Telemetry = coll
-		if _, err := Figure2(o); err != nil {
-			t.Fatal(err)
-		}
-		return coll.Snapshot(), trace.String()
-	}
-	rep1, trace1 := collect(1)
-	rep8, trace8 := collect(8)
-	if trace1 != trace8 {
-		t.Error("JSONL trace streams differ between parallelism 1 and 8")
-	}
-	runs1, runs8 := rep1.Experiments[0].Runs, rep8.Experiments[0].Runs
-	if len(runs1) != len(runs8) {
-		t.Fatalf("run counts differ: %d vs %d", len(runs1), len(runs8))
-	}
-	for i := range runs1 {
-		a, b := runs1[i], runs8[i]
-		if a.Name != b.Name || a.Index != b.Index {
-			t.Errorf("run %d identity differs: %s/%d vs %s/%d", i, a.Name, a.Index, b.Name, b.Index)
-		}
-		if a.SimCycles != b.SimCycles || a.Instructions != b.Instructions || a.Events != b.Events {
-			t.Errorf("run %d metrics differ: %+v vs %+v", i, a, b)
-		}
-		for k, v := range a.Counters {
-			if b.Counters[k] != v {
-				t.Errorf("run %d counter %s: %d vs %d", i, k, v, b.Counters[k])
-			}
-		}
-	}
-}
 
 // TestOrderedProgressUnderParallelism is the satellite regression test:
 // progress lines must arrive in submission order at any parallelism, so

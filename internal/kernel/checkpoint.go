@@ -1,31 +1,20 @@
 package kernel
 
-// Checkpointed boot images. Boot is the dominant fixed cost left per
-// trial: the Fisher-Yates shuffle over every allocatable frame plus a few
-// dozen walker constructions. A Checkpoint freezes the post-boot kernel —
-// serialized task tree, frame-allocator tables, the random-stream and
+// Kernel checkpoints. A Checkpoint freezes a kernel at a main-loop
+// boundary — task tree, frame-allocator tables, the random-stream and
 // walker positions, and a copy-on-write image of physical memory — and
-// Fork rebuilds a ready-to-run kernel from it without rebooting: the
-// shuffled free list is copied, the dense trap tables are shared with the
-// image until first write (mem/image.go), and every random stream resumes
-// at its captured position, so a forked kernel is byte-for-byte
-// indistinguishable from a fresh boot of the same configuration.
-//
-// Capture requires a quiesced kernel (nothing executed, no workload
-// spawned): the checkpoint identity is then a pure function of
-// (seed, pageSeed, machine geometry, server set), which is what lets the
-// experiment layer share one image across every trial and gang member
-// with that identity. CaptureAt (midrun.go) extends the same image with
-// a run state — scheduler, clock, page tables, compiled-program cursors —
-// so interval replay can fork a kernel back to an interval boundary;
-// within a fork, core.Window still owns warm-up/measure selection.
+// Fork rebuilds a kernel from it without rebooting: the free list is
+// copied, the dense trap tables are shared with the image until first
+// write (mem/image.go), and every random stream resumes at its captured
+// position. CaptureAt (midrun.go) takes checkpoints and adds the run
+// state — scheduler, clock, page tables, compiled-program cursors — that
+// ForkRun restores on top of Fork, so interval replay can resume a
+// kernel at an interval boundary; within a fork, core.Window still owns
+// warm-up/measure selection.
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 
 	"tapeworm/internal/mach"
@@ -34,18 +23,12 @@ import (
 	"tapeworm/internal/textwalk"
 )
 
-// ErrCheckpointMismatch is wrapped by every Fork/LoadCheckpoint rejection
-// of a checkpoint whose identity does not match the requested
+// ErrCheckpointMismatch is wrapped by every Fork/ForkRun rejection of a
+// checkpoint whose identity does not match the requested
 // configuration (different seed, frame count, server set, ...).
 var ErrCheckpointMismatch = errors.New("kernel: checkpoint does not match configuration")
 
-// ErrCheckpointCorrupt is wrapped by ReadCheckpoint when a checkpoint
-// file cannot be decoded at all — truncation, garbage, a torn write. It
-// is distinct from ErrCheckpointMismatch, which covers files that decode
-// but describe a different identity.
-var ErrCheckpointCorrupt = errors.New("kernel: checkpoint file corrupt")
-
-// taskRecord serializes one entry of the boot-time task tree.
+// taskRecord records one entry of the task tree.
 type taskRecord struct {
 	Name     string
 	Server   bool
@@ -53,7 +36,7 @@ type taskRecord struct {
 	Inherit  bool
 }
 
-// serverState serializes one server's mutable state: per-service walker
+// serverState records one server's mutable state: per-service walker
 // positions and the data generator's stream and hot-region size.
 type serverState struct {
 	Walkers map[ServiceID]textwalk.State
@@ -61,8 +44,8 @@ type serverState struct {
 	DataHot uint32
 }
 
-// Checkpoint is an immutable post-boot kernel image. Any number of Forks
-// may share it concurrently; it is never written after Capture.
+// Checkpoint is an immutable kernel image. Any number of forks may share
+// it concurrently; it is never written after CaptureAt.
 type Checkpoint struct {
 	mark string
 
@@ -95,13 +78,11 @@ type Checkpoint struct {
 	tasks   []taskRecord
 	servers map[ServerKind]serverState
 
-	// run is the mid-run state captured by CaptureAt (midrun.go); nil for
-	// post-boot checkpoints.
+	// run is the run state captured by CaptureAt (midrun.go).
 	run *runState
 
-	// Walker-shape template, built once per checkpoint and shared by all
-	// forks (see template). Not serialized; a decoded checkpoint rebuilds
-	// it from the boot recipe on first Fork.
+	// Walker-shape template, built once per checkpoint on first Fork and
+	// shared by all forks (see template).
 	tmplOnce sync.Once
 	tmpl     *ckTemplate
 }
@@ -119,9 +100,8 @@ type ckTemplate struct {
 }
 
 // template returns the checkpoint's shared shape template, building it on
-// first use. Capture pre-seeds it from the source kernel (sharing its
-// immutable regions); a checkpoint decoded from disk rebuilds it from the
-// boot recipe, which is a pure function of the checkpoint identity.
+// first use from the boot recipe, which is a pure function of the
+// checkpoint identity.
 func (cp *Checkpoint) template() *ckTemplate {
 	cp.tmplOnce.Do(func() {
 		tm := &ckTemplate{
@@ -156,15 +136,6 @@ func (cp *Checkpoint) template() *ckTemplate {
 	return cp.tmpl
 }
 
-// Mark returns the checkpoint's name ("post-boot" for Capture after Boot).
-func (cp *Checkpoint) Mark() string { return cp.mark }
-
-// Frames returns the physical frame count the checkpoint was captured at.
-func (cp *Checkpoint) Frames() int { return cp.frames }
-
-// Seeds returns the (seed, pageSeed) identity of the checkpoint.
-func (cp *Checkpoint) Seeds() (seed, pageSeed uint64) { return cp.seed, cp.pageSeed }
-
 // svcWalkerLabels holds the per-service walker labels, formatted once per
 // process instead of once per fork.
 var svcWalkerLabels = func() [numServices]string {
@@ -176,7 +147,7 @@ var svcWalkerLabels = func() [numServices]string {
 }()
 
 // allWalkerLabels lists the kernel's walkers in Boot's construction
-// order, computed once per process. Capture and Fork iterate the same
+// order, computed once per process. captureState and Fork iterate the same
 // list, so the label set is self-consistent by construction.
 var allWalkerLabels = func() []string {
 	labels := []string{"entry", "clock", "sched", "vm", "fork", "softvm", "softsched"}
@@ -213,22 +184,9 @@ func (k *Kernel) kernelWalkerByLabel(label string) *textwalk.Walker {
 	return nil
 }
 
-// Capture snapshots a quiesced kernel into a Checkpoint named mark. The
-// kernel must not have executed anything or spawned workload tasks —
-// Capture is for post-boot images; mid-run measurement windows are
-// core.Window's job. The kernel remains fully usable afterwards and
-// shares nothing with the returned checkpoint.
-func Capture(k *Kernel, mark string) (*Checkpoint, error) {
-	if k.m.Cycles() != 0 || k.m.Instructions() != 0 || k.userSpawned != 0 || len(k.runq) != 0 {
-		return nil, fmt.Errorf("kernel: Capture(%q) of a non-quiesced kernel (%d cycles, %d instructions, %d user tasks)",
-			mark, k.m.Cycles(), k.m.Instructions(), k.userSpawned)
-	}
-	return captureState(k, mark)
-}
-
-// captureState snapshots the boot-derived state shared by post-boot
-// (Capture) and mid-run (CaptureAt) checkpoints: identity, memory image,
-// frame allocator, rng streams, walker positions, task records, servers.
+// captureState snapshots the boot-derived half of a checkpoint:
+// identity, memory image, frame allocator, rng streams, walker positions,
+// task records, servers.
 func captureState(k *Kernel, mark string) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		mark:           mark,
@@ -277,8 +235,7 @@ func captureState(k *Kernel, mark string) (*Checkpoint, error) {
 }
 
 // validateFork checks cfg against the checkpoint's identity, wrapping
-// ErrCheckpointMismatch so callers (and Options.Validate paths) can
-// classify the failure.
+// ErrCheckpointMismatch so callers can classify the failure.
 func (cp *Checkpoint) validateFork(cfg Config) error {
 	mismatch := func(what string, got, want any) error {
 		return fmt.Errorf("%w: %s %v, checkpoint %q captured with %v",
@@ -308,19 +265,15 @@ func (cp *Checkpoint) validateFork(cfg Config) error {
 	return nil
 }
 
-// ValidateConfig reports whether cfg could fork from this checkpoint,
-// wrapping ErrCheckpointMismatch on any identity difference. Fork runs
-// the same check; this is for callers that load checkpoints from disk
-// and want to reject a stale or foreign file up front.
-func (cp *Checkpoint) ValidateConfig(cfg Config) error { return cp.validateFork(cfg) }
-
-// Fork builds a ready-to-run kernel from a checkpoint without rebooting.
-// cfg must agree with the checkpoint on everything that shapes boot state
-// (seeds, geometry, server set — see validateFork); runtime-only options
-// such as Telemetry and Machine.NoFastPath are taken from cfg and may
-// differ from the captured boot. The forked kernel shares the
-// checkpoint's physical-memory image copy-on-write and owns pooled
-// buffers until ReleaseCheckpoint (or ReleaseBuffers).
+// Fork builds a kernel from a checkpoint's boot-derived state without
+// rebooting; ForkRun adds the run state on top. Forking a checkpoint
+// taken right after Boot yields a kernel byte-for-byte indistinguishable
+// from a fresh boot. cfg must agree with the checkpoint on everything
+// that shapes boot state (seeds, geometry, server set — see
+// validateFork); runtime-only options such as Telemetry and
+// Machine.NoFastPath are taken from cfg and may differ from the capture.
+// The forked kernel shares the checkpoint's physical-memory image
+// copy-on-write and owns pooled buffers until ReleaseBuffers.
 func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	if err := cp.validateFork(cfg); err != nil {
 		return nil, err
@@ -422,12 +375,6 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// ReleaseCheckpoint recycles a forked kernel's pooled buffers: the frame
-// tables and whatever the copy-on-write Phys materialized. It is the
-// fork-side counterpart of ReleaseBuffers (and delegates to it — the
-// Phys knows which arrays it owns and which still belong to the image).
-func (k *Kernel) ReleaseCheckpoint() { k.ReleaseBuffers() }
-
 // PoolCounts reports the pooled-buffer requests made on behalf of this
 // kernel's boot or fork (physical-memory arrays, host cache tag stores,
 // gang trap refcounts, frame tables, copy-on-write materialization) and
@@ -441,179 +388,4 @@ func (k *Kernel) PoolCounts() (gets, reuses uint64) {
 		reuses += k.fa.poolReuses
 	}
 	return gets, reuses
-}
-
-// --- Persistence (-checkpoint-dir) ---
-
-// checkpointWire is the gob representation of a Checkpoint. Maps are
-// flattened to sorted slices so the encoded bytes are deterministic.
-type checkpointWire struct {
-	Version int
-	Mark    string
-
-	Seed           uint64
-	PageSeed       uint64
-	Frames         int
-	PageSize       int
-	TapewormFrames int
-	WithXServer    bool
-	WithBSDServer  bool
-
-	Img      *mem.Image
-	Free     []uint32
-	Refcount []uint16
-
-	RNGKernel rng.State
-	RNGIntr   rng.State
-	RNGVM     rng.State
-
-	WalkerLabels []string
-	WalkerStates []textwalk.State
-
-	KdataRNG rng.State
-	KdataHot uint32
-
-	Tasks []taskRecord
-
-	ServerKinds  []ServerKind
-	ServerStates []serverWire
-
-	// Run carries mid-run state for CaptureAt checkpoints; nil for
-	// post-boot images. Gob omits nil pointers, so version 1 files
-	// written before the field existed still decode (to a nil Run) and
-	// old readers skip the field they don't know.
-	Run *runState
-}
-
-type serverWire struct {
-	Services []ServiceID
-	Walkers  []textwalk.State
-	Data     rng.State
-	DataHot  uint32
-}
-
-// checkpointWireVersion guards the on-disk format; bump on any layout
-// change so stale -checkpoint-dir files fail loudly instead of decoding
-// into garbage.
-const checkpointWireVersion = 1
-
-// Encode writes the checkpoint to f with gob.
-func (cp *Checkpoint) Encode(f io.Writer) error {
-	w := checkpointWire{
-		Version:        checkpointWireVersion,
-		Mark:           cp.mark,
-		Seed:           cp.seed,
-		PageSeed:       cp.pageSeed,
-		Frames:         cp.frames,
-		PageSize:       cp.pageSize,
-		TapewormFrames: cp.tapewormFrames,
-		WithXServer:    cp.withXServer,
-		WithBSDServer:  cp.withBSDServer,
-		Img:            cp.img,
-		Free:           cp.free,
-		Refcount:       cp.refcount,
-		RNGKernel:      cp.rngKernel,
-		RNGIntr:        cp.rngIntr,
-		RNGVM:          cp.rngVM,
-		KdataRNG:       cp.kdataRNG,
-		KdataHot:       cp.kdataHot,
-		Tasks:          cp.tasks,
-		Run:            cp.run,
-	}
-	for _, label := range sortedKeys(cp.walkers) {
-		w.WalkerLabels = append(w.WalkerLabels, label)
-		w.WalkerStates = append(w.WalkerStates, cp.walkers[label])
-	}
-	for _, kind := range []ServerKind{BSDServer, XServer} {
-		ss, ok := cp.servers[kind]
-		if !ok {
-			continue
-		}
-		sw := serverWire{Data: ss.Data, DataHot: ss.DataHot}
-		ids := make([]int, 0, len(ss.Walkers))
-		for id := range ss.Walkers {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			sw.Services = append(sw.Services, ServiceID(id))
-			sw.Walkers = append(sw.Walkers, ss.Walkers[ServiceID(id)])
-		}
-		w.ServerKinds = append(w.ServerKinds, kind)
-		w.ServerStates = append(w.ServerStates, sw)
-	}
-	return gob.NewEncoder(f).Encode(w)
-}
-
-// ReadCheckpoint decodes a checkpoint written by Encode.
-func ReadCheckpoint(f io.Reader) (*Checkpoint, error) {
-	var w checkpointWire
-	if err := gob.NewDecoder(f).Decode(&w); err != nil {
-		return nil, fmt.Errorf("%w: decoding: %v", ErrCheckpointCorrupt, err)
-	}
-	if w.Version != checkpointWireVersion {
-		return nil, fmt.Errorf("%w: checkpoint file version %d, want %d",
-			ErrCheckpointMismatch, w.Version, checkpointWireVersion)
-	}
-	if w.Img == nil {
-		return nil, fmt.Errorf("%w: checkpoint file has no memory image", ErrCheckpointMismatch)
-	}
-	if w.Img.Frames() != w.Frames || w.Img.PageSize() != w.PageSize {
-		return nil, fmt.Errorf("%w: image geometry %d×%d does not match header %d×%d",
-			ErrCheckpointMismatch, w.Img.Frames(), w.Img.PageSize(), w.Frames, w.PageSize)
-	}
-	if len(w.WalkerLabels) != len(w.WalkerStates) || len(w.ServerKinds) != len(w.ServerStates) {
-		return nil, fmt.Errorf("%w: inconsistent walker/server tables", ErrCheckpointMismatch)
-	}
-	cp := &Checkpoint{
-		mark:           w.Mark,
-		seed:           w.Seed,
-		pageSeed:       w.PageSeed,
-		frames:         w.Frames,
-		pageSize:       w.PageSize,
-		tapewormFrames: w.TapewormFrames,
-		withXServer:    w.WithXServer,
-		withBSDServer:  w.WithBSDServer,
-		img:            w.Img,
-		free:           w.Free,
-		refcount:       w.Refcount,
-		rngKernel:      w.RNGKernel,
-		rngIntr:        w.RNGIntr,
-		rngVM:          w.RNGVM,
-		walkers:        make(map[string]textwalk.State, len(w.WalkerLabels)),
-		kdataRNG:       w.KdataRNG,
-		kdataHot:       w.KdataHot,
-		tasks:          w.Tasks,
-		servers:        make(map[ServerKind]serverState, len(w.ServerKinds)),
-		run:            w.Run,
-	}
-	for i, label := range w.WalkerLabels {
-		cp.walkers[label] = w.WalkerStates[i]
-	}
-	for i, kind := range w.ServerKinds {
-		sw := w.ServerStates[i]
-		if len(sw.Services) != len(sw.Walkers) {
-			return nil, fmt.Errorf("%w: inconsistent service walker table for server %d", ErrCheckpointMismatch, kind)
-		}
-		ss := serverState{
-			Walkers: make(map[ServiceID]textwalk.State, len(sw.Services)),
-			Data:    sw.Data,
-			DataHot: sw.DataHot,
-		}
-		for j, id := range sw.Services {
-			ss.Walkers[id] = sw.Walkers[j]
-		}
-		cp.servers[kind] = ss
-	}
-	return cp, nil
-}
-
-// sortedKeys returns m's keys in sorted order, for deterministic encoding.
-func sortedKeys(m map[string]textwalk.State) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

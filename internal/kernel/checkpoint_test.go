@@ -1,9 +1,8 @@
 package kernel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
+	"reflect"
 	"testing"
 
 	"tapeworm/internal/mach"
@@ -32,7 +31,7 @@ func ckProgram() Program {
 }
 
 // ckState is the observable outcome of a finished run, comparable with a
-// single !=; physBytes holds the gob encoding of the full trap tables.
+// single !=; ckSnapshot returns the full trap tables beside it.
 type ckState struct {
 	cycles   uint64
 	instret  uint64
@@ -41,8 +40,7 @@ type ckState struct {
 	kstats   Stats
 }
 
-func ckSnapshot(t *testing.T, k *Kernel) (ckState, []byte) {
-	t.Helper()
+func ckSnapshot(k *Kernel) (ckState, *mem.Image) {
 	st := ckState{
 		cycles:   k.Machine().Cycles(),
 		instret:  k.Machine().Instructions(),
@@ -50,18 +48,26 @@ func ckSnapshot(t *testing.T, k *Kernel) (ckState, []byte) {
 		comp:     k.ComponentInstructions(),
 		kstats:   k.Stats(),
 	}
-	img := mem.CaptureImage(k.Machine().Phys())
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	return st, buf.Bytes()
+	return st, mem.CaptureImage(k.Machine().Phys())
 }
 
 func ckConfig(frames int, seed uint64) Config {
 	cfg := DefaultConfig(mach.DECstation5000_200(frames), seed)
 	cfg.PageSeed = seed * 31
 	return cfg
+}
+
+// postBoot checkpoints a freshly booted kernel of cfg and releases the
+// capture kernel, so every fork below starts from a boot image alone.
+func postBoot(t *testing.T, cfg Config) *Checkpoint {
+	t.Helper()
+	src := MustBoot(cfg)
+	cp, err := CaptureAt(src, "post-boot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.ReleaseBuffers()
+	return cp
 }
 
 // runToEnd spawns the canonical program and drives it to completion.
@@ -82,15 +88,10 @@ func TestForkMatchesBoot(t *testing.T) {
 
 	fresh := MustBoot(cfg)
 	runToEnd(t, fresh)
-	wantState, wantPhys := ckSnapshot(t, fresh)
+	wantState, wantPhys := ckSnapshot(fresh)
 	fresh.ReleaseBuffers()
 
-	src := MustBoot(cfg)
-	cp, err := Capture(src, "post-boot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ReleaseBuffers()
+	cp := postBoot(t, cfg)
 
 	// Two successive forks, to prove forks are independent of each other
 	// and of the (already released) capture kernel.
@@ -100,14 +101,14 @@ func TestForkMatchesBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		runToEnd(t, fk)
-		gotState, gotPhys := ckSnapshot(t, fk)
+		gotState, gotPhys := ckSnapshot(fk)
 		if gotState != wantState {
 			t.Fatalf("fork %d diverged from fresh boot:\nfork:  %+v\nfresh: %+v", i, gotState, wantState)
 		}
-		if !bytes.Equal(gotPhys, wantPhys) {
+		if !reflect.DeepEqual(gotPhys, wantPhys) {
 			t.Fatalf("fork %d: physical trap tables differ from fresh boot", i)
 		}
-		fk.ReleaseCheckpoint()
+		fk.ReleaseBuffers()
 	}
 	if wantState.instret == 0 || wantState.cycles == 0 {
 		t.Fatalf("scenario executed nothing: %+v", wantState)
@@ -120,19 +121,14 @@ func TestForkMatchesBoot(t *testing.T) {
 // no-fast-path boot exactly.
 func TestForkRuntimeOptionsMayDiffer(t *testing.T) {
 	cfg := ckConfig(2048, 7)
-	src := MustBoot(cfg)
-	cp, err := Capture(src, "post-boot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ReleaseBuffers()
+	cp := postBoot(t, cfg)
 
 	slow := cfg
 	slow.Machine.NoFastPath = true
 
 	fresh := MustBoot(slow)
 	runToEnd(t, fresh)
-	wantState, wantPhys := ckSnapshot(t, fresh)
+	wantState, wantPhys := ckSnapshot(fresh)
 	fresh.ReleaseBuffers()
 
 	fk, err := Fork(cp, slow)
@@ -140,21 +136,16 @@ func TestForkRuntimeOptionsMayDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	runToEnd(t, fk)
-	gotState, gotPhys := ckSnapshot(t, fk)
-	fk.ReleaseCheckpoint()
-	if gotState != wantState || !bytes.Equal(gotPhys, wantPhys) {
+	gotState, gotPhys := ckSnapshot(fk)
+	fk.ReleaseBuffers()
+	if gotState != wantState || !reflect.DeepEqual(gotPhys, wantPhys) {
 		t.Fatalf("no-fast-path fork diverged:\nfork:  %+v\nfresh: %+v", gotState, wantState)
 	}
 }
 
 func TestForkRejectsMismatchedConfig(t *testing.T) {
 	cfg := ckConfig(2048, 7)
-	src := MustBoot(cfg)
-	cp, err := Capture(src, "post-boot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ReleaseBuffers()
+	cp := postBoot(t, cfg)
 
 	mutations := map[string]func(*Config){
 		"frames":    func(c *Config) { c.Machine = mach.DECstation5000_200(1024) },
@@ -170,103 +161,5 @@ func TestForkRejectsMismatchedConfig(t *testing.T) {
 		if _, err := Fork(cp, bad); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s mismatch: Fork err = %v, want ErrCheckpointMismatch", name, err)
 		}
-		if err := cp.ValidateConfig(bad); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s mismatch: ValidateConfig err = %v, want ErrCheckpointMismatch", name, err)
-		}
 	}
-	if err := cp.ValidateConfig(cfg); err != nil {
-		t.Errorf("matching config rejected: %v", err)
-	}
-}
-
-func TestCaptureRequiresQuiescence(t *testing.T) {
-	k := bootTest(t, 2048)
-	defer k.ReleaseBuffers()
-	k.Spawn("p", &scriptProgram{events: refs(TextBase, 100)}, false, false)
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Capture(k, "mid-run"); err == nil {
-		t.Fatal("Capture accepted a kernel that has already executed")
-	}
-}
-
-// TestCheckpointEncodeRoundtrip proves the persisted form is faithful: a
-// kernel forked from a decoded checkpoint matches one forked from the
-// original, byte for byte.
-func TestCheckpointEncodeRoundtrip(t *testing.T) {
-	cfg := ckConfig(2048, 7)
-	src := MustBoot(cfg)
-	cp, err := Capture(src, "post-boot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ReleaseBuffers()
-
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Mark() != cp.Mark() || cp2.Frames() != cp.Frames() {
-		t.Fatalf("roundtrip changed identity: mark %q frames %d", cp2.Mark(), cp2.Frames())
-	}
-
-	run := func(cp *Checkpoint) (ckState, []byte) {
-		k, err := Fork(cp, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer k.ReleaseCheckpoint()
-		runToEnd(t, k)
-		st, phys := ckSnapshot(t, k)
-		return st, phys
-	}
-	s1, p1 := run(cp)
-	s2, p2 := run(cp2)
-	if s1 != s2 || !bytes.Equal(p1, p2) {
-		t.Fatalf("decoded checkpoint diverged:\noriginal: %+v\ndecoded:  %+v", s1, s2)
-	}
-}
-
-func TestReadCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
-	}
-}
-
-// BenchmarkBootVsFork quantifies the boot amortization a checkpoint buys:
-// fork must be at least 5x faster than a fresh boot (the PR's acceptance
-// floor; the frame-allocator shuffle and walker construction dominate
-// boot).
-func BenchmarkBootVsFork(b *testing.B) {
-	cfg := ckConfig(8192, 1994)
-	b.Run("boot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := MustBoot(cfg)
-			k.ReleaseBuffers()
-		}
-	})
-	b.Run("fork", func(b *testing.B) {
-		src := MustBoot(cfg)
-		cp, err := Capture(src, "post-boot")
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.ReleaseBuffers()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k, err := Fork(cp, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			k.ReleaseCheckpoint()
-		}
-	})
 }

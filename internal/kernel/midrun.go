@@ -1,18 +1,17 @@
 package kernel
 
-// Mid-run checkpoints. PR 7's Capture freezes a quiesced post-boot
-// kernel; interval-replay simulation needs to freeze a kernel *mid-run*,
-// at an interval boundary, so a representative interval can later be
-// simulated on a fork without re-executing everything before it.
+// Mid-run checkpoints. Interval-replay simulation freezes a kernel
+// *mid-run*, at an interval boundary, so a representative interval can
+// later be simulated on a fork without re-executing everything before it.
 //
-// A mid-run capture extends the boot image with a run state: the
+// A mid-run capture extends the boot-derived image with a run state: the
 // machine's architectural clock (mach.ClockState), the scheduler (run
 // queue, current slot, pending reschedule, tick count), every live
 // task's demand-faulted page table and its position in the compiled op
 // stream (ProgramCursor), the resident-page FIFO, and the kernel's
 // accounting counters. Everything else a checkpoint carries — rng
 // streams, walker positions, server state, the frame allocator, the
-// memory image — is captured by the same code as the post-boot path.
+// memory image — is captured by captureState (checkpoint.go).
 //
 // Host cache, TLB and translation-memo contents are deliberately *not*
 // captured: a fork resumes with cold host state, exactly like a context
@@ -74,8 +73,8 @@ type taskRunState struct {
 	Cursor    ProgramCursor
 }
 
-// runState is the mid-run half of a checkpoint. All fields are exported
-// for gob; the struct is immutable once captured.
+// runState is the mid-run half of a checkpoint; it is immutable once
+// captured.
 type runState struct {
 	Clock mach.ClockState
 
@@ -98,19 +97,8 @@ type runState struct {
 	Tasks []taskRunState
 }
 
-// HasRunState reports whether the checkpoint was captured mid-run
-// (CaptureAt) rather than post-boot (Capture). Mid-run checkpoints fork
-// only through ForkRun.
-func (cp *Checkpoint) HasRunState() bool { return cp.run != nil }
-
-// UserInstructions returns the user-instruction count at capture time
-// for a mid-run checkpoint (zero for post-boot checkpoints).
-func (cp *Checkpoint) UserInstructions() uint64 {
-	if cp.run == nil {
-		return 0
-	}
-	return cp.run.CompInstr[CompUser]
-}
+// UserInstructions returns the user-instruction count at capture time.
+func (cp *Checkpoint) UserInstructions() uint64 { return cp.run.CompInstr[CompUser] }
 
 // CaptureAt snapshots a running kernel at a main-loop boundary into a
 // mid-run checkpoint named mark. The kernel must be between scheduling
@@ -186,7 +174,7 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 // clock, same page tables, every program back on its captured op. resume
 // rebuilds each live task's program from its cursor. Like Fork, the
 // returned kernel shares the image copy-on-write and owns pooled
-// buffers until ReleaseCheckpoint.
+// buffers until ReleaseBuffers.
 //
 // The forked machine starts with cold host caches and TLB — the only
 // state deliberately absent from a checkpoint — so its overhead stream
@@ -195,16 +183,12 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 // warm-up that covers the divergence.
 func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) {
 	rs := cp.run
-	if rs == nil {
-		return nil, fmt.Errorf("%w: checkpoint %q has no run state (post-boot capture); use Fork",
-			ErrCheckpointMismatch, cp.mark)
-	}
 	k, err := Fork(cp, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if len(rs.Tasks) != len(k.tasks) {
-		k.ReleaseCheckpoint()
+		k.ReleaseBuffers()
 		return nil, fmt.Errorf("%w: run state covers %d tasks, checkpoint %q has %d",
 			ErrCheckpointMismatch, len(rs.Tasks), cp.mark, len(k.tasks))
 	}
@@ -226,7 +210,7 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		t.State = ts.State
 		t.Instructions = ts.Instructions
 		if len(ts.PageVPNs) != len(ts.PagePTEs) {
-			k.ReleaseCheckpoint()
+			k.ReleaseBuffers()
 			return nil, fmt.Errorf("%w: task %d page table arrays disagree", ErrCheckpointMismatch, t.ID)
 		}
 		for j, vpn := range ts.PageVPNs {
@@ -235,13 +219,13 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		t.space.mapped = ts.Mapped
 		if ts.HasCursor {
 			if resume == nil {
-				k.ReleaseCheckpoint()
+				k.ReleaseBuffers()
 				return nil, fmt.Errorf("kernel: ForkRun of %q needs a resume callback for task %d (%s)",
 					cp.mark, t.ID, t.Name)
 			}
 			prog, err := resume(ts.Cursor)
 			if err != nil {
-				k.ReleaseCheckpoint()
+				k.ReleaseBuffers()
 				return nil, fmt.Errorf("kernel: resuming task %d (%s) of %q: %w", t.ID, t.Name, cp.mark, err)
 			}
 			t.prog = prog
@@ -249,13 +233,13 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 	}
 	for _, id := range rs.RunqIDs {
 		if int(id) < 0 || int(id) >= len(k.tasks) {
-			k.ReleaseCheckpoint()
+			k.ReleaseBuffers()
 			return nil, fmt.Errorf("%w: run queue references unknown task %d", ErrCheckpointMismatch, id)
 		}
 		k.runq = append(k.runq, k.tasks[id])
 	}
 	if len(rs.ResidentTIDs) != len(rs.ResidentVPNs) {
-		k.ReleaseCheckpoint()
+		k.ReleaseBuffers()
 		return nil, fmt.Errorf("%w: resident queue arrays disagree", ErrCheckpointMismatch)
 	}
 	for i, tid := range rs.ResidentTIDs {

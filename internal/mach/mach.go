@@ -95,9 +95,10 @@ type Config struct {
 	// NoFastPath disables the batched hit fast path (the translation
 	// micro-cache and ExecuteRun's run-length execution), forcing every
 	// reference through the per-reference path. The fast path is exact —
-	// cycle counts, trap sequences and telemetry are byte-identical either
-	// way (the `make verify-fastpath` gate) — so this exists only for that
-	// gate, for equivalence tests, and for benchmarking the speedup.
+	// cycle counts, trap sequences and telemetry metrics are byte-identical
+	// either way (internal/experiment's TestModeLattice) — so this exists
+	// only for that test, for equivalence tests, and for benchmarking the
+	// speedup.
 	NoFastPath bool
 }
 

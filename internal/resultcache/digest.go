@@ -1,16 +1,16 @@
 // Package resultcache is a content-addressed store for deterministic
 // simulation results. The repo's core invariant — every run's output is a
 // pure function of its execution identity (workload spec, simulator
-// configuration, seeds, frames, execution-path flags), verified by the
-// verify-fastpath/gang/compiled/checkpoint byte-identity gates — makes
+// configuration, seeds, frames, execution-path flags), verified across
+// every execution mode by internal/experiment's TestModeLattice — makes
 // results reusable: a run whose identity digest has been seen before can
 // be served from cache instead of re-simulated.
 //
 // The store has two tiers. The in-process tier is an LRU map from digest
-// to result value, following the compiled-image and checkpoint cache
-// pattern (process-wide, bounded, eviction only costs a re-simulation).
+// to result value, following the compiled-image and interval-checkpoint
+// cache pattern (process-wide, bounded, eviction only costs a re-simulation).
 // The optional persistent tier (a directory of one gob file per digest,
-// written atomically like .ckpt files) makes results survive across
+// each written atomically) makes results survive across
 // processes; files whose recorded identity disagrees with the request are
 // rejected with ErrMismatch, torn or garbage files with ErrCorrupt.
 //

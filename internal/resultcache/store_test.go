@@ -250,7 +250,7 @@ func TestPersistReload(t *testing.T) {
 	}
 }
 
-// corruptionCases mirrors the persisted-checkpoint corruption suite: a
+// corruptionCases is the persisted-store corruption suite: a
 // truncated file, a garbage file, and a valid file renamed to the wrong
 // identity must all surface typed errors, never a panic or a silent
 // fallback.
