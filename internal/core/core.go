@@ -471,18 +471,18 @@ func (tw *Tapeworm) simInvalidateRange(task mem.TaskID, addr uint32, size int) {
 	tw.sim.InvalidateRange(task, addr, size)
 }
 
-// simInsert runs tw_replace: insert the missing line, returning the lines
-// displaced out of the structure entirely (the locations to re-arm).
-func (tw *Tapeworm) simInsert(task mem.TaskID, addr uint32) []cache.Key {
+// simInsert runs tw_replace: insert the missing line, returning the line
+// displaced out of the structure entirely (the location to re-arm), if
+// any. An inclusive hierarchy displaces at most one L2 line per insert.
+func (tw *Tapeworm) simInsert(task mem.TaskID, addr uint32) (cache.Key, bool) {
 	if tw.sim2 != nil {
 		_, evicted := tw.sim2.AccessDetail(task, addr)
-		return evicted
+		if len(evicted) == 0 {
+			return cache.Key{}, false
+		}
+		return evicted[0], true
 	}
-	displaced, evicted := tw.sim.Insert(task, addr)
-	if !evicted {
-		return nil
-	}
-	return []cache.Key{displaced}
+	return tw.sim.Insert(task, addr)
 }
 
 // simKeys lists resident lines at trap granularity (L2 under a hierarchy,
@@ -693,7 +693,7 @@ func (tw *Tapeworm) miss(t mem.TaskID, vaLine mem.VAddr, paLine mem.PAddr) {
 	tw.mech.ClearTrap(paLine, int(tw.lineSize))
 
 	keyTask, keyAddr := tw.simKey(t, vaLine, paLine)
-	for _, displaced := range tw.simInsert(keyTask, keyAddr) {
+	if displaced, evicted := tw.simInsert(keyTask, keyAddr); evicted {
 		if dispPA, ok := tw.resolveLinePA(displaced); ok {
 			tw.mech.SetTrap(dispPA, int(tw.lineSize))
 		} else {

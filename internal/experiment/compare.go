@@ -103,8 +103,7 @@ func parseCell(s string) (float64, bool) {
 // a reminder that interval-sampled numbers carry an error bound instead
 // of byte-exactness. Empty when interval replay is off.
 //
-//twvet:allow gate — pure formatter over already-validated options; no
-// error channel and nothing here can panic on bad values.
+//twvet:allow gate — pure formatter over already-validated options; no error channel and nothing here can panic on bad values.
 func PhaseNote(o Options) string {
 	if o.PhaseIntervals <= 0 {
 		return ""

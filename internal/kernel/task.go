@@ -74,9 +74,9 @@ const (
 	OpRun CompiledOpKind = iota
 	// OpData is one data reference at VA with kind Ref.
 	OpData
-	// OpSyscall traps into service Arg.
+	// OpSyscall traps into service Arg().
 	OpSyscall
-	// OpFork creates a child task replaying child image Arg; N != 0
+	// OpFork creates a child task replaying child image Arg(); N != 0
 	// means the child shares the parent's text (Event.ShareText).
 	OpFork
 	// OpExit terminates the task. Always the final op of a stream.
@@ -85,15 +85,26 @@ const (
 
 // CompiledOp is one pre-planned step of a compiled program: a fused walker
 // run, a pre-resolved data reference, or an event with its randomness
-// (service choice, fork target) already drawn. 12 bytes, so a multi-million
+// (service choice, fork target) already drawn. 8 bytes, so a multi-million
 // instruction workload compiles to a few tens of megabytes.
 type CompiledOp struct {
-	VA   mem.VAddr      // OpRun: first fetch; OpData: address
+	// VA is the first fetch of an OpRun and the address of an OpData.
+	// OpSyscall and OpFork carry no address, so the field holds their
+	// argument instead; read it through Arg.
+	VA   mem.VAddr
 	N    uint16         // OpRun: run length; OpFork: ShareText flag
 	Kind CompiledOpKind // discriminator
 	Ref  mem.RefKind    // OpData: Load or Store
-	Arg  int32          // OpSyscall: ServiceID; OpFork: child image index
 }
+
+// ArgOp builds an OpSyscall or OpFork op carrying arg (a ServiceID or a
+// child image index) and flag n (OpFork's ShareText).
+func ArgOp(kind CompiledOpKind, n uint16, arg int32) CompiledOp {
+	return CompiledOp{VA: mem.VAddr(arg), N: n, Kind: kind}
+}
+
+// Arg returns an OpSyscall's ServiceID or an OpFork's child image index.
+func (op *CompiledOp) Arg() int32 { return int32(op.VA) }
 
 // CompiledRunCap is the run length compiled streams are segmented at. It
 // equals the Run loop's per-scheduling-decision batch bound, so a compiled

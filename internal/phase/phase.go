@@ -197,9 +197,9 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 	tasks := []*walker{{node: root}}
 	cur := 0
 
-	var u uint64          // retired user instructions
-	var refIdx uint64     // reference index, for sampling
-	var sampled uint64    // references sampled this interval
+	var u uint64       // retired user instructions
+	var refIdx uint64  // reference index, for sampling
+	var sampled uint64 // references sampled this interval
 	var boundary = intervalLen
 
 	stride := uint64(1)
@@ -278,7 +278,7 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 				break turn // the kernel reschedules around service time
 			case kernel.OpFork:
 				f.forks++
-				tasks = append(tasks, &walker{node: w.node.Child(int(op.Arg))})
+				tasks = append(tasks, &walker{node: w.node.Child(int(op.Arg()))})
 				w.pos++
 			default: // OpExit
 				break turn

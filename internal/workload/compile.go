@@ -19,20 +19,30 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mem"
 )
 
-// maxCompiledOps bounds the total op count of one workload's fork tree.
-// Beyond it (roughly 50 MB of ops; only reached far above the bench and
-// verification scales), Compile refuses and callers fall back to the
-// interpreter.
-const maxCompiledOps = 4 << 20
+// opBytes is the size of one compiled op.
+const opBytes = int(unsafe.Sizeof(kernel.CompiledOp{}))
+
+// compileBudgetBytes bounds the op memory of one workload's fork tree.
+// At 8 bytes per op it admits 6,291,456 ops: at scale 100 (the
+// reproduction's own scale) mpeg_play, espresso, ousterhout, sdet and
+// kenbus compile, while xlisp, eqntott and jpeg_play are refused and run
+// through the interpreter.
+const compileBudgetBytes = 48 << 20
+
+// maxCompiledOps is the compile budget in ops.
+const maxCompiledOps = compileBudgetBytes / opBytes
 
 // ErrStreamTooLarge reports a workload whose stream exceeds the compile
-// op budget; run it through the interpreter instead.
-var ErrStreamTooLarge = fmt.Errorf("workload: stream exceeds the %d-op compile budget", maxCompiledOps)
+// budget; run it through the interpreter instead.
+var ErrStreamTooLarge = fmt.Errorf("workload: stream exceeds the %d-op (%d MiB) compile budget",
+	maxCompiledOps, compileBudgetBytes>>20)
 
 // image is the compiled form of one task's program: its op stream plus the
 // images of the children it forks, in fork order. Images are immutable
@@ -113,15 +123,16 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 		return 0, 0, kernel.Event{Kind: kernel.EvRef, Ref: mem.Ref{VA: op.VA, Kind: op.Ref}}
 	case kernel.OpSyscall:
 		c.pos++
-		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg)}
+		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg())}
 	case kernel.OpFork:
 		c.pos++
+		arg := op.Arg()
 		childPath := make([]int32, len(c.path)+1)
 		copy(childPath, c.path)
-		childPath[len(c.path)] = op.Arg
+		childPath[len(c.path)] = arg
 		return 0, 0, kernel.Event{
 			Kind:      kernel.EvFork,
-			Child:     &Compiled{img: c.img.children[op.Arg], path: childPath},
+			Child:     &Compiled{img: c.img.children[arg], path: childPath},
 			ShareText: op.N != 0,
 		}
 	default: // OpExit is sticky, like the interpreter's exited state.
@@ -129,38 +140,86 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 	}
 }
 
+// chunkOps is the size of the fixed chunks a stream is collected in
+// (128 KiB of ops). Collecting in chunks and copying once into an
+// exact-length slice avoids append-doubling, which copies every op about
+// twice and can hold up to twice the stream's size.
+const chunkOps = 16 << 10
+
+type opChunk [chunkOps]kernel.CompiledOp
+
+// compiler holds the state of one Compile: the remaining op allowance
+// across the whole fork tree and the chunks no image is filling.
+type compiler struct {
+	budget int
+	free   []*opChunk
+}
+
+// opBuilder collects one image's ops in chunks borrowed from its compiler.
+type opBuilder struct {
+	c      *compiler
+	chunks []*opChunk
+	n      int // ops in the last chunk
+}
+
+func (b *opBuilder) add(op kernel.CompiledOp) {
+	if len(b.chunks) == 0 || b.n == chunkOps {
+		var ch *opChunk
+		if f := b.c.free; len(f) > 0 {
+			ch, b.c.free = f[len(f)-1], f[:len(f)-1]
+		} else {
+			ch = new(opChunk)
+		}
+		b.chunks = append(b.chunks, ch)
+		b.n = 0
+	}
+	b.chunks[len(b.chunks)-1][b.n] = op
+	b.n++
+}
+
+// finish copies the collected ops into an exact-length slice and returns
+// the chunks to the compiler for the next image.
+func (b *opBuilder) finish() []kernel.CompiledOp {
+	var ops []kernel.CompiledOp
+	if k := len(b.chunks); k > 0 {
+		ops = make([]kernel.CompiledOp, 0, (k-1)*chunkOps+b.n)
+		for _, ch := range b.chunks[:k-1] {
+			ops = append(ops, ch[:]...)
+		}
+		ops = append(ops, b.chunks[k-1][:b.n]...)
+	}
+	b.c.free = append(b.c.free, b.chunks...)
+	b.chunks = nil
+	return ops
+}
+
 // compileImage records prog's full stream (and, recursively, the streams
-// of the children it forks) into an image. budget is the remaining op
-// allowance across the whole fork tree.
-func compileImage(prog kernel.Program, budget *int) (*image, error) {
+// of the children it forks) into an image, charging every op to the
+// compiler's budget.
+func (c *compiler) compileImage(prog kernel.Program) (*image, error) {
 	bp, ok := prog.(kernel.BatchProgram)
 	if !ok {
 		return nil, fmt.Errorf("workload: program %T is not batchable", prog)
 	}
 	img := &image{}
+	b := opBuilder{c: c}
 	for {
-		if *budget <= 0 {
+		if c.budget <= 0 {
 			return nil, ErrStreamTooLarge
 		}
-		*budget--
+		c.budget--
 		base, n, ev := bp.NextRun(kernel.CompiledRunCap)
 		if n > 0 {
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpRun, VA: base, N: uint16(n),
-			})
+			b.add(kernel.CompiledOp{Kind: kernel.OpRun, VA: base, N: uint16(n)})
 			continue
 		}
 		switch ev.Kind {
 		case kernel.EvRef:
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpData, VA: ev.Ref.VA, Ref: ev.Ref.Kind,
-			})
+			b.add(kernel.CompiledOp{Kind: kernel.OpData, VA: ev.Ref.VA, Ref: ev.Ref.Kind})
 		case kernel.EvSyscall:
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpSyscall, Arg: int32(ev.Service),
-			})
+			b.add(kernel.ArgOp(kernel.OpSyscall, 0, int32(ev.Service)))
 		case kernel.EvFork:
-			child, err := compileImage(ev.Child, budget)
+			child, err := c.compileImage(ev.Child)
 			if err != nil {
 				return nil, err
 			}
@@ -168,12 +227,11 @@ func compileImage(prog kernel.Program, budget *int) (*image, error) {
 			if ev.ShareText {
 				share = 1
 			}
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpFork, N: share, Arg: int32(len(img.children)),
-			})
+			b.add(kernel.ArgOp(kernel.OpFork, share, int32(len(img.children))))
 			img.children = append(img.children, child)
 		case kernel.EvExit:
-			img.ops = append(img.ops, kernel.CompiledOp{Kind: kernel.OpExit})
+			b.add(kernel.CompiledOp{Kind: kernel.OpExit})
+			img.ops = b.finish()
 			return img, nil
 		default:
 			return nil, fmt.Errorf("workload: unknown event kind %d while compiling", ev.Kind)
@@ -181,16 +239,26 @@ func compileImage(prog kernel.Program, budget *int) (*image, error) {
 	}
 }
 
-// Compile lowers spec's reference stream into a fresh compiled program,
-// bypassing the cache. Returns ErrStreamTooLarge when the stream exceeds
-// the op budget.
-func Compile(spec Spec, seed uint64) (*Compiled, error) {
+// compile lowers spec's reference stream into an image, returning it
+// with its op count across the fork tree.
+func compile(spec Spec, seed uint64) (*image, int, error) {
 	prog, err := New(spec, seed)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	budget := maxCompiledOps
-	img, err := compileImage(prog, &budget)
+	c := compiler{budget: maxCompiledOps}
+	img, err := c.compileImage(prog)
+	if err != nil {
+		return nil, 0, err
+	}
+	return img, maxCompiledOps - c.budget, nil
+}
+
+// Compile lowers spec's reference stream into a fresh compiled program,
+// bypassing the cache. Returns ErrStreamTooLarge when the stream exceeds
+// the compile budget.
+func Compile(spec Spec, seed uint64) (*Compiled, error) {
+	img, _, err := compile(spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -199,33 +267,42 @@ func Compile(spec Spec, seed uint64) (*Compiled, error) {
 
 // --- Process-wide image cache ---
 
-// maxCachedImages bounds the compile cache. Each entry is one workload's
-// full op stream (tens of MB at bench scales); sweeps revisit the same
-// few (spec, seed) pairs thousands of times.
-const maxCachedImages = 4
+// maxCachedBytes bounds the op memory the compile cache holds: two
+// budgets, enough for all eight plans at scale 1000 (36 MB) or every
+// plan that compiles at scale 100 (91 MB). Sweeps revisit the same few
+// (spec, seed) pairs thousands of times; the evaluation suite cycles
+// through all eight workloads per experiment.
+const maxCachedBytes = 2 * compileBudgetBytes
 
 type cacheKey struct {
 	spec Spec
 	seed uint64
 }
 
+// cacheEntry is one (spec, seed) stream: its image once compiled, or the
+// error that refused it. Refusals hold no ops and are never evicted, so
+// an over-budget stream is attempted once per process.
 type cacheEntry struct {
-	once sync.Once
-	img  *image
-	err  error
-	gen  uint64 // LRU clock, updated under cacheMu
+	once  sync.Once
+	img   *image
+	err   error
+	bytes int    // op bytes held; set under cacheMu when admitted
+	gen   uint64 // LRU clock, updated under cacheMu
 }
 
 var (
 	cacheMu    sync.Mutex
 	imageCache = map[cacheKey]*cacheEntry{}
 	cacheGen   uint64
+	cacheBytes int // sum of the admitted entries' bytes
+
+	// compiles counts the streams the cache has compiled or refused.
+	compiles atomic.Int64
 )
 
 // cachedImage memoizes Compile by (spec, seed). Concurrent requests for
 // the same key compile once and share the immutable result; distinct keys
-// compile in parallel. Least-recently-used images are evicted beyond
-// maxCachedImages.
+// compile in parallel.
 func cachedImage(spec Spec, seed uint64) (*image, error) {
 	key := cacheKey{spec: spec, seed: seed}
 	cacheMu.Lock()
@@ -233,33 +310,44 @@ func cachedImage(spec Spec, seed uint64) (*image, error) {
 	if e == nil {
 		e = &cacheEntry{}
 		imageCache[key] = e
-		if len(imageCache) > maxCachedImages {
-			var victimKey cacheKey
-			var victim *cacheEntry
-			// Generation numbers are unique, so the minimum is the same
-			// victim at any iteration order; eviction never changes
-			// simulation results either way (images are pure).
-			//twvet:allow maporder — unique-minimum selection is order-insensitive
-			for k, v := range imageCache {
-				if v != e && (victim == nil || v.gen < victim.gen) {
-					victimKey, victim = k, v
-				}
-			}
-			delete(imageCache, victimKey)
-		}
 	}
 	cacheGen++
 	e.gen = cacheGen
 	cacheMu.Unlock()
 	e.once.Do(func() {
-		c, err := Compile(spec, seed)
-		if err != nil {
-			e.err = err
-			return
+		compiles.Add(1)
+		img, ops, err := compile(spec, seed)
+		e.img, e.err = img, err
+		if err == nil {
+			admit(e, ops*opBytes)
 		}
-		e.img = c.img
 	})
 	return e.img, e.err
+}
+
+// admit charges a freshly compiled entry's bytes to the cache, evicting
+// least-recently-used images until the cache fits maxCachedBytes again.
+// An entry never evicts itself: one image is at most one budget.
+func admit(e *cacheEntry, bytes int) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	e.bytes = bytes
+	cacheBytes += bytes
+	for cacheBytes > maxCachedBytes {
+		var victimKey cacheKey
+		var victim *cacheEntry
+		// Generation numbers are unique, so the minimum is the same
+		// victim at any iteration order; eviction never changes
+		// simulation results either way (images are pure).
+		//twvet:allow maporder — unique-minimum selection is order-insensitive
+		for k, v := range imageCache {
+			if v != e && v.bytes > 0 && (victim == nil || v.gen < victim.gen) {
+				victimKey, victim = k, v
+			}
+		}
+		delete(imageCache, victimKey)
+		cacheBytes -= victim.bytes
+	}
 }
 
 // NewPlanned returns the fastest available Program for (spec, seed): a
